@@ -61,17 +61,11 @@ from .experiments.table2 import xc6000_conjecture
 from .fission import SequencingStrategy, compare_static_vs_rtr
 from .jpeg import build_dct_task_graph, static_design_delay
 from .partition import (
-    MULTILEVEL_INNER_CHOICES,
-    AnnealTemporalPartitioner,
-    IlpTemporalPartitioner,
-    LevelClusteringPartitioner,
-    ListTemporalPartitioner,
-    MultilevelPartitioner,
+    PARTITIONERS,
     PartitionProblem,
-    PortfolioPartitioner,
     assert_valid,
+    build_partitioner,
     compute_metrics,
-    multilevel_inner,
 )
 from .runtime import EngineConfig, PartitionEngine, ct_sweep_jobs
 from .synth import DesignFlow, FlowEngine, FlowOptions, workload_flow_jobs
@@ -80,14 +74,6 @@ from .units import format_time
 
 #: Default target-system preset applied when none is chosen explicitly.
 DEFAULT_SYSTEM = "paper-xc4044"
-
-#: ``--partitioner`` values the CLI accepts; the ``multilevel:<inner>``
-#: spellings pick the engine the multilevel scheme runs on the coarse graph.
-PARTITIONER_CHOICES = [
-    "ilp", "list", "level", "anneal", "portfolio", "multilevel",
-    *[f"multilevel:{inner}" for inner in MULTILEVEL_INNER_CHOICES],
-]
-
 
 def _version() -> str:
     """The installed distribution version (source-tree fallback)."""
@@ -155,19 +141,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args.taskgraph)
     system = _make_system(args)
     problem = PartitionProblem.from_system(graph, system)
-    inner = multilevel_inner(args.partitioner)
-    if inner is not None:
-        partitioner = MultilevelPartitioner(inner=inner, ilp_backend=args.backend)
-    elif args.partitioner == "ilp":
-        partitioner = IlpTemporalPartitioner(backend=args.backend)
-    elif args.partitioner == "list":
-        partitioner = ListTemporalPartitioner()
-    elif args.partitioner == "anneal":
-        partitioner = AnnealTemporalPartitioner()
-    elif args.partitioner == "portfolio":
-        partitioner = PortfolioPartitioner(ilp_backend=args.backend)
-    else:
-        partitioner = LevelClusteringPartitioner()
+    partitioner = build_partitioner(args.partitioner, args.backend)
     result = partitioner.partition(problem)
     assert_valid(problem, result)
     print(result.describe())
@@ -184,7 +158,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print(f"portfolio: winner={report.winner} certified={report.certified} "
               f"lower bound {report.lower_bound * 1e6:.2f} us "
               f"({report.total_time:.2f} s)")
-    if inner is not None and partitioner.last_report is not None:
+    if PARTITIONERS[args.partitioner].inner and partitioner.last_report is not None:
         report = partitioner.last_report
         levels = "->".join(str(count) for count in report.level_sizes)
         print(f"multilevel: inner={report.inner} levels {levels} "
@@ -1084,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     partition = subparsers.add_parser("partition", help="temporally partition a task graph")
     partition.add_argument("taskgraph", nargs="?", default="dct",
                            help="task-graph JSON file, or 'dct' for the case study (default)")
-    partition.add_argument("--partitioner", default="ilp", choices=PARTITIONER_CHOICES)
+    partition.add_argument("--partitioner", default="ilp", choices=list(PARTITIONERS))
     partition.add_argument("--backend", default="scipy",
                            choices=["scipy", "branch-and-bound"],
                            help="ILP solver backend")
@@ -1097,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("taskgraphs", nargs="*", default=None, metavar="taskgraph",
                        help="task-graph JSON files, or 'dct' for the case study (default)")
-    batch.add_argument("--partitioner", default="ilp", choices=PARTITIONER_CHOICES)
+    batch.add_argument("--partitioner", default="ilp", choices=list(PARTITIONERS))
     batch.add_argument("--backend", default="scipy",
                        choices=["scipy", "branch-and-bound"],
                        help="ILP solver backend")
@@ -1142,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --batch: output format")
     flow.add_argument("--output", default=None,
                       help="with --batch: write the rows to this file instead of stdout")
-    flow.add_argument("--partitioner", default=None, choices=PARTITIONER_CHOICES,
+    flow.add_argument("--partitioner", default=None, choices=list(PARTITIONERS),
                       help="partitioner override (default: the workload's own choice, "
                            "or ilp for task-graph files)")
     flow.add_argument("--strategy", default="idh", choices=["fdh", "idh"])
@@ -1386,7 +1360,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target system preset (default: the workload's own)")
     submit.add_argument("--ct", type=float, default=None,
                         help="reconfiguration time in milliseconds")
-    submit.add_argument("--partitioner", default=None, choices=PARTITIONER_CHOICES,
+    submit.add_argument("--partitioner", default=None, choices=list(PARTITIONERS),
                         help="partitioner override")
     submit.add_argument("--seed", type=int, default=0,
                         help="seed for the stochastic partitioners")

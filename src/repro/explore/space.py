@@ -179,8 +179,10 @@ class SearchSpace:
                     f"search-space axis {name!r} contains duplicate values"
                 )
         # Sequencing is consumed deep inside objective evaluation (after the
-        # flow work is already done), so a bad value must be caught here.
+        # flow work is already done) and a bad partitioner fails per point,
+        # so a bad value must be caught here.
         from ..fission.strategies import SequencingStrategy
+        from ..partition.registry import partitioner_entry
 
         known = {strategy.value for strategy in SequencingStrategy}
         unknown = [value for value in self.sequencings if value not in known]
@@ -188,6 +190,8 @@ class SearchSpace:
             raise ExplorationError(
                 f"unknown sequencing strategies {unknown}; known: {sorted(known)}"
             )
+        for partitioner in self.partitioners:
+            partitioner_entry(partitioner, ExplorationError)
         object.__setattr__(
             self,
             "_axes",

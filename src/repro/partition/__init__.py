@@ -14,17 +14,14 @@
 * :class:`MultilevelPartitioner` — criticality-driven multilevel clustering
   pre-partitioner for 10k-100k-node graphs (coarsen, solve with any inner
   engine, uncoarsen + refine);
+* :data:`PARTITIONERS` — the one table that builds, validates and keys
+  every partitioner name;
 * validation and metrics shared by all of them.
 """
 
 from .anneal_partitioner import AnnealTemporalPartitioner
 from .greedy_partitioner import LevelClusteringPartitioner
-from .hierarchy import (
-    MULTILEVEL_INNER_CHOICES,
-    MultilevelPartitioner,
-    MultilevelReport,
-    multilevel_inner,
-)
+from .hierarchy import MultilevelPartitioner, MultilevelReport
 from .ilp_formulation import FormulationOptions, TemporalPartitioningFormulation
 from .ilp_partitioner import IlpPartitionerReport, IlpTemporalPartitioner
 from .list_partitioner import ListTemporalPartitioner
@@ -36,6 +33,12 @@ from .metrics import (
     partition_summary_rows,
 )
 from .portfolio import PortfolioPartitioner, PortfolioReport
+from .registry import (
+    MULTILEVEL_INNER_CHOICES,
+    PARTITIONERS,
+    build_partitioner,
+    multilevel_inner,
+)
 from .result import PartitionInfo, TemporalPartitioning
 from .spec import PartitionProblem
 from .validate import ValidationReport, assert_valid, validate_partitioning
@@ -50,6 +53,7 @@ __all__ = [
     "MULTILEVEL_INNER_CHOICES",
     "MultilevelPartitioner",
     "MultilevelReport",
+    "PARTITIONERS",
     "PartitionInfo",
     "PartitionProblem",
     "PartitioningComparison",
@@ -60,6 +64,7 @@ __all__ = [
     "TemporalPartitioningFormulation",
     "ValidationReport",
     "assert_valid",
+    "build_partitioner",
     "compare_partitionings",
     "compute_metrics",
     "multilevel_inner",

@@ -14,15 +14,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from ..errors import PartitioningError
-from ..partition.hierarchy import multilevel_inner
+from ..partition.registry import partitioner_entry
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from .canonical import problem_fingerprint
-
-#: Partitioner algorithms the engine can dispatch.  ``"multilevel"`` also
-#: accepts a ``multilevel:<inner>`` suffix naming the engine to run on the
-#: coarse graph (validated by :func:`repro.partition.multilevel_inner`).
-PARTITIONERS = ("ilp", "list", "level", "anneal", "portfolio", "multilevel")
 
 
 @dataclass(frozen=True)
@@ -38,13 +33,7 @@ class SolverSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            self.partitioner not in PARTITIONERS
-            and multilevel_inner(self.partitioner) is None
-        ):
-            raise PartitioningError(
-                f"unknown partitioner {self.partitioner!r}; choose from {PARTITIONERS}"
-            )
+        partitioner_entry(self.partitioner)
 
     def cache_key_fields(self) -> Dict[str, object]:
         """The fields that distinguish cached results.
@@ -59,11 +48,7 @@ class SolverSpec:
             "backend": self.backend,
             "explore_extra_partitions": self.explore_extra_partitions,
         }
-        if self.partitioner in ("anneal", "portfolio") or self.partitioner.startswith(
-            "multilevel"
-        ):
-            # Multilevel's default/portfolio/anneal inners consume the seed,
-            # so every multilevel spelling is treated as seed-dependent.
+        if partitioner_entry(self.partitioner).seeded:
             fields["seed"] = self.seed
         return fields
 

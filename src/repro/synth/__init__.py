@@ -1,6 +1,6 @@
 """End-to-end synthesis flow (Figure 2), stage pipeline and batch service."""
 
-from .flow import PARTITIONERS, DesignFlow, FlowOptions
+from .flow import DesignFlow, FlowOptions
 from .flow_engine import (
     FlowBatchReport,
     FlowEngine,
@@ -33,7 +33,6 @@ __all__ = [
     "FlowOptions",
     "FlowReport",
     "FlowStage",
-    "PARTITIONERS",
     "PIPELINE_STAGES",
     "RtrDesign",
     "STAGE_VERSIONS",

@@ -42,6 +42,7 @@ from ..fission.analysis import FissionAnalysis, analyse_fission
 from ..fission.throughput import rtr_timing_spec
 from ..hls.estimator import TaskEstimator
 from ..memmap.mapper import MemoryMap, build_memory_map
+from ..partition.registry import partitioner_entry
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from ..runtime.canonical import (
@@ -49,7 +50,7 @@ from ..runtime.canonical import (
     canonical_fingerprint,
     canonical_graph_dict,
 )
-from ..runtime.jobs import JobOutcome
+from ..runtime.jobs import JobOutcome, SolverSpec
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import TaskCost
 
@@ -133,24 +134,13 @@ def _stage_digest(stage: str, version: int, payload: Dict[str, object]) -> str:
 def ct_invariant_solver(partitioner: str, explore_extra_partitions: int = 0) -> bool:
     """Whether the partition assignment is independent of ``CT``.
 
-    True for the greedy heuristics (they never read ``CT``) and for the
-    default ILP relax-N loop (it stops at the first feasible bound;
-    ``N*CT`` is a constant per bound).  False for ``explore_extra_partitions
-    > 0`` (the bound *selection* compares ``N*CT + sum_p d_p`` across
-    bounds), for ``anneal`` (move acceptance scores include ``N*CT`` with
-    the partition count varying as partitions empty), and for ``portfolio``
-    (the certificate compares latencies against a CT-dependent bound and
-    one arm is the annealer).
+    The rule of each partitioner lives in its
+    :data:`~repro.partition.registry.PARTITIONERS` entry: true for the
+    greedy heuristics and for the default ILP relax-N loop, false for
+    ``explore_extra_partitions > 0`` and for the ``anneal``, ``portfolio``
+    and ``multilevel`` solvers.
     """
-    if partitioner in ("anneal", "portfolio"):
-        return False
-    if partitioner.startswith("multilevel"):
-        # The coarse solve runs a CT-reading inner engine (portfolio by
-        # default) and refinement accepts moves on latency deltas.
-        return False
-    if partitioner != "ilp":
-        return True
-    return explore_extra_partitions == 0
+    return partitioner_entry(partitioner).ct_invariant(explore_extra_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +187,6 @@ def estimate_stage_key(
     return StageKey(ESTIMATE, version, digest)
 
 
-def _solver_key_fields(options, explore_extra_partitions: int) -> Dict[str, object]:
-    """Solver fields of the partition-stage digest.
-
-    Mirrors :meth:`repro.runtime.jobs.SolverSpec.cache_key_fields`: the seed
-    enters the key only for the partitioners whose result depends on it.
-    """
-    fields: Dict[str, object] = {
-        "partitioner": options.partitioner,
-        "backend": options.ilp_backend,
-        "explore_extra_partitions": int(explore_extra_partitions),
-    }
-    if options.partitioner in ("anneal", "portfolio") or options.partitioner.startswith(
-        "multilevel"
-    ):
-        fields["seed"] = int(getattr(options, "partitioner_seed", 0))
-    return fields
-
-
 def partition_stage_key(
     estimate_key: StageKey,
     system: RtrSystem,
@@ -239,7 +211,12 @@ def partition_stage_key(
                 for kind, amount in sorted(system.resource_capacity.as_dict().items())
             },
             "memory_words": int(system.memory_capacity_words),
-            "solver": _solver_key_fields(options, explore_extra_partitions),
+            "solver": SolverSpec(
+                partitioner=options.partitioner,
+                backend=options.ilp_backend,
+                explore_extra_partitions=int(explore_extra_partitions),
+                seed=int(options.partitioner_seed),
+            ).cache_key_fields(),
             "ct": None if invariant else float(system.reconfiguration_time),
         },
     )

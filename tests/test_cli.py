@@ -228,6 +228,21 @@ class TestCommands:
         assert "unknown objective" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["explore", "schedule"])
+    @pytest.mark.parametrize("partitioner", ["bogus", "multilevel:bogus"])
+    def test_unknown_partitioner_fails_before_a_store_exists(
+        self, tmp_path, capsys, command, partitioner
+    ):
+        code = main([
+            command, "--workload", "jpeg_dct", "--partitioners", partitioner,
+            "--budget", "2", "--store", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: unknown partitioner {partitioner!r}" in err
+        assert "multilevel:list" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_flow_with_unknown_workload_exits_cleanly(self, capsys):
         assert main(["flow", "--workload", "no_such_workload"]) == 2
         err = capsys.readouterr().err

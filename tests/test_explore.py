@@ -95,6 +95,14 @@ class TestSearchSpace:
         with pytest.raises(ExplorationError, match="sequencing"):
             SearchSpace(workloads=(("w", ()),), sequencings=("idh", "nope"))
 
+    def test_unknown_partitioner_rejected_up_front(self):
+        # A scheduled plan reaches its workers as JSON: a bad partitioner
+        # must fail where the space is rebuilt, not once per evaluated point.
+        data = CHEAP_SPACE.to_json_dict()
+        data["partitioners"] = ["list", "multilevel:bogus"]
+        with pytest.raises(ExplorationError, match="'multilevel:bogus'"):
+            SearchSpace.from_json_dict(data)
+
     def test_sampling_is_seed_deterministic(self):
         draw = lambda: [  # noqa: E731
             CHEAP_SPACE.random_point(random.Random(42)) for _ in range(5)

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.arch import clbs
+from repro.cli import main as cli_main
 from repro.errors import PartitioningError, PartitionValidationError
 from repro.ilp import SolveStatus, solve
 from repro.partition import (
     MULTILEVEL_INNER_CHOICES,
+    PARTITIONERS,
     FormulationOptions,
     IlpTemporalPartitioner,
     LevelClusteringPartitioner,
@@ -22,8 +24,18 @@ from repro.partition import (
     partition_summary_rows,
     validate_partitioning,
 )
-from repro.taskgraph import Task, TaskGraph, clb_cost, linear_pipeline, random_dsp_task_graph
+from repro.runtime import EngineConfig, PartitionEngine
+from repro.synth import DesignFlow, FlowOptions
+from repro.taskgraph import (
+    Task,
+    TaskGraph,
+    clb_cost,
+    linear_pipeline,
+    random_dsp_task_graph,
+    save,
+)
 from repro.units import ms, ns
+from repro.verify import generate_scenario
 
 from partition_helpers import make_problem
 
@@ -386,3 +398,30 @@ class TestValidationAndMetrics:
         rows = partition_summary_rows(case_study_ilp.partitioning)
         assert len(rows) == 3
         assert rows[0]["task_types"] == {"T1": 16}
+
+
+class TestPartitionerTable:
+    """Every accepted name yields the same partitioner on every build path."""
+
+    @pytest.mark.parametrize("name", list(PARTITIONERS))
+    def test_flow_engine_and_cli_agree(self, name, tmp_path, capsys):
+        scenario = generate_scenario(0, base_seed=0)
+        assert scenario.task_count <= 12
+        graph, system = scenario.build_graph(), scenario.build_system()
+        flow = DesignFlow(system, FlowOptions(partitioner=name)).partition(graph)
+
+        engine = PartitionEngine(EngineConfig(workers=0))
+        job = engine.make_job(PartitionProblem.from_system(graph, system), partitioner=name)
+        [report] = engine.solve_batch([job])
+        assert report.outcome.assignment == flow.assignment
+
+        path = tmp_path / "graph.json"
+        save(graph, path)
+        code = cli_main([
+            "partition", str(path), "--partitioner", name, "--system", "custom",
+            "--clbs", str(scenario.clb_capacity),
+            "--memory", str(scenario.memory_words),
+            "--ct", str(scenario.reconfiguration_time * 1e3),
+        ])
+        assert code == 0
+        assert f"): {flow.partition_count} partitions," in capsys.readouterr().out

@@ -22,11 +22,13 @@ import textwrap
 
 import pytest
 
+from repro.arch import system_by_name
 from repro.cli import main as cli_main
 from repro.explore import OBJECTIVES, DesignPoint, ExploreConfig, Explorer, SearchSpace
 from repro.explore.objectives import evaluate_report
-from repro.runtime import ArtifactStore, EngineConfig, PartitionEngine
-from repro.synth import FlowEngine, StagePipeline, workload_flow_jobs
+from repro.partition import PARTITIONERS
+from repro.runtime import ArtifactStore, EngineConfig, PartitionEngine, SolverSpec
+from repro.synth import FlowEngine, FlowOptions, StagePipeline, workload_flow_jobs
 from repro.synth import stages
 from repro.units import ms
 from repro.workloads import get_workload, workload_names
@@ -49,6 +51,45 @@ def _plan_for(name="matmul_pipeline", ct=None, **option_overrides):
 # ---------------------------------------------------------------------------
 # Stage keys
 # ---------------------------------------------------------------------------
+
+#: Recorded before the partitioners moved into one table: name -> (seed in
+#: the cache key, CT-invariant at explore_extra_partitions=0, at > 0).
+PINNED_RULES = {
+    "ilp": (False, True, False),
+    "list": (False, True, True),
+    "level": (False, True, True),
+    "anneal": (True, False, False),
+    "portfolio": (True, False, False),
+    "multilevel": (True, False, False),
+    "multilevel:portfolio": (True, False, False),
+    "multilevel:ilp": (True, False, False),
+    "multilevel:list": (True, False, False),
+    "multilevel:level": (True, False, False),
+    "multilevel:anneal": (True, False, False),
+}
+
+#: name -> partition-stage digest of jpeg_dct on paper-xc4044 at seed 3.
+PINNED_DIGESTS = {
+    "ilp": "bcc63e8e65a8e36ade7cbb282d892ec3d24a0e53c37c2d81fc2e8e24a7181cd5",
+    "list": "0525dc41cdbadbcb52f57fdcb9e944f775f81e336024225c3e7f272f869665ee",
+    "level": "d280f2e2c09f92627778ed5f3c9a15fb008a55d73cda6544bf6e45757815c959",
+    "anneal": "bd467dc980256e4cff516fea48e38ffabfd50c10f8d32138b0c1a7419f7045c1",
+    "portfolio": "c54c2eb3f0c17868bff8738e1d0bc0cc7edd939f08d39ab1a2a2eac787cb2ede",
+    "multilevel": "fe32b23c588a19b9da8f43addbec5ba72ea64d4f730cf43e4d2af3d2dd870a2a",
+    "multilevel:portfolio": "4659c2f625ebe84e3a1a7635f8e3957ea7a3d404424a6622b6c239cd0fa6b243",
+    "multilevel:ilp": "3b5aa14707cde22c70a64071e7280263bd2d1ca6521209e22a250e3b25588ef7",
+    "multilevel:list": "85a935e9a5b1819d309c96ce6a7ca8568c92b5fba0014e4ee924c8b748860da3",
+    "multilevel:level": "ab4ba7ed6401ace06f19e1a1eea59ba3a075f05cf477682d5ab42489b9804ec9",
+    "multilevel:anneal": "01464906c8c2f0deabb90b9201d06637b76001065eab13fc86f46cdd1a89ef0a",
+}
+
+
+@pytest.fixture(scope="module")
+def dct_estimate_key():
+    return stages.estimate_stage_key(
+        get_workload("jpeg_dct").build_graph(), system_by_name("paper-xc4044"), FlowOptions()
+    )
+
 
 class TestStageKeys:
     def test_plan_lists_every_pipeline_stage_in_order(self):
@@ -98,11 +139,25 @@ class TestStageKeys:
             assert bumped.digest(stage) != base.digest(stage)
         assert bumped.key(stages.ESTIMATE).version == 999
 
-    def test_ct_invariance_gate(self):
-        assert stages.ct_invariant_solver("ilp", 0)
-        assert stages.ct_invariant_solver("list", 0)
-        assert stages.ct_invariant_solver("list", 3)
-        assert not stages.ct_invariant_solver("ilp", 1)
+    @pytest.mark.parametrize("name", list(PARTITIONERS))
+    def test_ct_invariance_gate(self, name, dct_estimate_key):
+        """Cache keys, stage keys and the CT rule of every partitioner name.
+
+        A changed value would orphan every cached solve and stage artifact
+        of that partitioner without a ``STAGE_VERSIONS`` bump.
+        """
+        seeded, ct_invariant, ct_invariant_with_extra = PINNED_RULES[name]
+        fields = {"partitioner": name, "backend": "scipy", "explore_extra_partitions": 0}
+        if seeded:
+            fields["seed"] = 3
+        assert SolverSpec(name, seed=3).cache_key_fields() == fields
+        options = FlowOptions(partitioner=name, partitioner_seed=3)
+        system = system_by_name("paper-xc4044")
+        key = stages.partition_stage_key(dct_estimate_key, system, options)
+        assert key.digest == PINNED_DIGESTS[name]
+        assert stages.ct_invariant_solver(name, 0) is ct_invariant
+        assert stages.ct_invariant_solver(name, 1) is ct_invariant_with_extra
+        assert stages.ct_invariant_solver(name, 3) is ct_invariant_with_extra
 
     def test_ct_dependent_solver_keys_include_ct(self):
         workload = get_workload("matmul_pipeline")

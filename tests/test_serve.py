@@ -148,6 +148,8 @@ class TestProtocol:
         ({"workload": "w", "seed": True}, "integer"),
         ({"workload": "w", "params": {1: 2}}, "string keys"),
         ({"workload": "w", "partitioner": "psychic"}, "unknown partitioner"),
+        ({"workload": "w", "partitioner": "multilevel:bogus"}, "multilevel:list"),
+        ({"workload": "w", "partitioner": 5}, "unknown partitioner"),
     ])
     def test_strict_submission_parsing(self, payload, match):
         with pytest.raises(ProtocolError, match=match):
