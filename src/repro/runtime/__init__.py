@@ -7,9 +7,10 @@ work:
 
 * :mod:`repro.runtime.canonical` — content hashing of problems, graphs,
   devices and arbitrary stage payloads;
-* :mod:`repro.runtime.cache` — LRU + on-disk result caches;
-* :mod:`repro.runtime.artifacts` — the generic content-addressed stage
-  artifact store (per-stage version tags, shared cache-root layout);
+* :mod:`repro.runtime.artifacts` — the one cache: the content-addressed
+  artifact store (per-stage LRU + on-disk JSON layer, version tags, shared
+  cache-root layout) holding partition outcomes and every other stage's
+  artifacts;
 * :mod:`repro.runtime.jobs` — job/outcome/report types;
 * :mod:`repro.runtime.worker` — the function worker processes run;
 * :mod:`repro.runtime.engine` — :class:`PartitionEngine` itself.
@@ -18,13 +19,13 @@ work:
 from .artifacts import (
     ArtifactStore,
     CacheAreaReport,
+    LruCache,
     StageStats,
     clear_cache_dir,
     default_cache_dir,
     prune_cache_dir,
     scan_cache_dir,
 )
-from .cache import CacheStats, DiskCache, LruCache, ResultCache
 from .canonical import (
     canonical_device_dict,
     canonical_fingerprint,
@@ -58,8 +59,6 @@ __all__ = [
     "ArtifactStore",
     "BatchReport",
     "CacheAreaReport",
-    "CacheStats",
-    "DiskCache",
     "EngineConfig",
     "EngineStats",
     "JobOutcome",
@@ -68,7 +67,6 @@ __all__ = [
     "LruCache",
     "PartitionEngine",
     "PartitionJob",
-    "ResultCache",
     "ResultSource",
     "SolverSpec",
     "StageStats",

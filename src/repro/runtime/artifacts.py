@@ -1,19 +1,21 @@
-"""The generic content-addressed artifact store for pipeline stages.
+"""The content-addressed artifact store: the one cache of the flow.
 
-Where :mod:`repro.runtime.cache` stores one kind of payload (partition-job
-outcomes keyed by problem fingerprint), this module stores *arbitrary stage
-artifacts*: every stage of the design-flow pipeline registers a name and a
-version tag, keys each artifact by a content digest of its inputs, and gets
+Every cached step of the design flow — the partition engine's solved
+outcomes and the pipeline stages around them — registers a stage name and
+a version tag, keys each artifact by a content digest of its inputs, and
+gets
 
 * an in-process LRU per stage (any Python object),
 * an optional on-disk JSON layer per stage (only for stages that provide a
-  JSON-able payload), laid out as ``<root>/stages/<stage>/<digest>.json``,
+  JSON codec), laid out as ``<root>/stages/<stage>/<digest>.json``,
 * per-stage hit/miss/store accounting the engines surface in reports.
 
-Version tags are baked into every entry: a disk file written under an older
-stage version is treated as a miss and removed, so bumping a stage's
-``version`` invalidates its stale disk entries without touching the rest of
-the cache.
+Version tags are baked into every entry.  A disk entry that cannot be read,
+parsed, matched to the current stage version or decoded is logged, removed
+and treated as a miss, so a bad file costs one recomputation and is
+overwritten by the next store; bumping a stage's entry in
+:data:`STAGE_VERSIONS` invalidates that stage's disk entries without
+touching the rest of the cache.
 """
 
 from __future__ import annotations
@@ -22,13 +24,37 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from .cache import CacheStats, LruCache
-
 logger = logging.getLogger(__name__)
+
+#: Stage names, in flow order.  ``partition`` holds the partition engine's
+#: job outcomes, keyed by job fingerprint.
+ESTIMATE = "estimate"
+PARTITION = "partition"
+MEMORY_MAP = "memory-map"
+FISSION = "fission"
+TIMING = "timing"
+
+#: Per-stage version tags.  A bump invalidates every cached entry of that
+#: stage (and, through key chaining, of its downstream dependents) while
+#: leaving the rest of the disk cache valid.
+STAGE_VERSIONS: Dict[str, int] = {
+    ESTIMATE: 1,
+    # v2: stronger preprocessing lower bound (cardinality), symmetry breaking
+    # and cardinality cuts for the built-in backend, and the anneal/portfolio
+    # partitioners — cached v1 partition results may differ in assignment.
+    # v3: the multilevel pre-partitioner family and the nonenumerative Eq. 7
+    # path generation (path constraints now enter the ILP in delay order, so
+    # solver traces — though not optima — can differ from v2).
+    PARTITION: 3,
+    MEMORY_MAP: 1,
+    FISSION: 1,
+    TIMING: 1,
+}
 
 #: Environment variable overriding the default shared cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -36,8 +62,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Conventional shared disk-cache root used when no directory is chosen.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Subdirectory of a cache root holding the per-stage artifact directories
-#: (the root itself holds the partition engine's outcome files).
+#: Subdirectory of a cache root holding the per-stage artifact directories.
 STAGE_SUBDIR = "stages"
 
 
@@ -46,22 +71,61 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
-@dataclass
-class StageStats(CacheStats):
-    """Cache accounting for one pipeline stage.
+class LruCache:
+    """A bounded least-recently-used mapping from digest to artifact."""
 
-    Extends the result-cache counters with ``runs`` — the number of times
-    the stage's transform actually executed (every miss that was followed
-    by a computation, which is what "zero HLS estimations" assertions
-    count).
+    def __init__(self, capacity: int = 256) -> None:
+        if capacity < 1:
+            raise ValueError("LRU capacity must be at least 1")
+        self.capacity = capacity
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
+
+    def __contains__(self, digest: str) -> bool:
+        return digest in self._entries
+
+    def get(self, digest: str) -> Optional[object]:
+        """The cached artifact, refreshed to most-recently-used, or ``None``."""
+        value = self._entries.get(digest)
+        if value is not None:
+            self._entries.move_to_end(digest)
+        return value
+
+    def put(self, digest: str, value: object) -> None:
+        """Insert/refresh an entry, evicting the least recently used one."""
+        self._entries[digest] = value
+        self._entries.move_to_end(digest)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+
+@dataclass
+class StageStats:
+    """Cache accounting for one stage.
+
+    ``runs`` counts the times the stage's transform actually executed
+    (every miss that was followed by a computation, which is what "zero
+    HLS estimations" assertions count).
     """
 
+    memory_hits: int = 0
+    disk_hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    disk_write_errors: int = 0
     runs: int = 0
+
+    @property
+    def hits(self) -> int:
+        """Total hits across both layers."""
+        return self.memory_hits + self.disk_hits
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups."""
+        return self.hits + self.misses
 
     def snapshot(self) -> Dict[str, int]:
         """Flat dict of every counter."""
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -88,10 +152,6 @@ class ArtifactStore:
         self._memory: Dict[str, LruCache] = {}
         self._stats: Dict[str, StageStats] = {}
 
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
     def stats_for(self, stage: str) -> StageStats:
         """The (mutable) counters of one stage, created on first use."""
         if stage not in self._stats:
@@ -103,10 +163,6 @@ class ArtifactStore:
         return {
             stage: stats.snapshot() for stage, stats in sorted(self._stats.items())
         }
-
-    # ------------------------------------------------------------------
-    # Lookup / store
-    # ------------------------------------------------------------------
 
     def _memory_for(self, stage: str) -> LruCache:
         if stage not in self._memory:
@@ -126,31 +182,20 @@ class ArtifactStore:
         *source* is ``"memory-cache"``, ``"disk-cache"`` or ``""`` (miss).
         *decode* turns the stored JSON payload back into the in-memory
         artifact for disk hits; a stage without a decoder is memory-only.
-        A disk entry written under a different *version* is removed and
-        treated as a miss — the version tag, not the file's age, decides
-        staleness.
         """
         stats = self.stats_for(stage)
         memory = self._memory_for(stage)
-        cached = memory.get(digest)
-        if cached is not None:
+        value = memory.get(digest)
+        if value is not None:
             stats.memory_hits += 1
-            return cached, "memory-cache"
+            return value, "memory-cache"
         path = self._disk_path(stage, digest)
         if path is not None and decode is not None:
-            payload = self._read_disk(path, stage, version)
-            if payload is not None:
-                try:
-                    value = decode(payload)
-                except Exception as error:  # noqa: BLE001 - corrupt payload = miss
-                    logger.warning(
-                        "treating undecodable %s artifact %s as a miss (%s: %s)",
-                        stage, path.name, type(error).__name__, error,
-                    )
-                else:
-                    stats.disk_hits += 1
-                    memory.put(digest, value)
-                    return value, "disk-cache"
+            value = self._load(path, stage, version, decode)
+            if value is not None:
+                stats.disk_hits += 1
+                memory.put(digest, value)
+                return value, "disk-cache"
         stats.misses += 1
         return None, ""
 
@@ -165,41 +210,36 @@ class ArtifactStore:
         if path is None or encode is None:
             return
         try:
-            payload = encode(value)
-            self._write_disk(path, stage, version, payload)
+            self._write_disk(path, stage, version, encode(value))
         except OSError:
             # The disk layer is an optimisation; a full or read-only volume
             # must never fail the stage that already computed its artifact.
             stats.disk_write_errors += 1
 
-    # ------------------------------------------------------------------
-    # Disk layer
-    # ------------------------------------------------------------------
-
-    def _read_disk(self, path: Path, stage: str, version: int):
+    def _load(self, path: Path, stage: str, version: int, decode):
+        """Decode one disk entry; any unusable entry is removed (``None``)."""
         try:
             with path.open("r", encoding="utf-8") as handle:
                 data = json.load(handle)
+            stored = data.get("version") if isinstance(data, dict) else None
+            if stored != version:
+                raise ValueError(f"stored version {stored!r}, current {version!r}")
+            return decode(data["payload"])
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as error:
+        except Exception as error:  # noqa: BLE001 - a bad entry is a miss
+            # Truncated writes, foreign JSON, stale versions and payloads the
+            # stage's decoder rejects all heal the same way.
             logger.warning(
-                "treating corrupt %s artifact %s as a miss (%s: %s)",
+                "treating unusable %s artifact %s as a miss (%s: %s)",
                 stage, path.name, type(error).__name__, error,
             )
-            self._unlink_quietly(path)
+            _unlink_quietly(path)
             return None
-        if not isinstance(data, dict) or data.get("version") != version:
-            logger.info(
-                "dropping stale %s artifact %s (stored version %r, current %r)",
-                stage, path.name, data.get("version") if isinstance(data, dict) else None,
-                version,
-            )
-            self._unlink_quietly(path)
-            return None
-        return data.get("payload")
 
-    def _write_disk(self, path: Path, stage: str, version: int, payload) -> None:
+    @staticmethod
+    def _write_disk(path: Path, stage: str, version: int, payload) -> None:
+        """Write one entry atomically (temp file + rename)."""
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
             "w",
@@ -214,32 +254,22 @@ class ArtifactStore:
                 json.dump({"stage": stage, "version": version, "payload": payload}, handle)
             os.replace(handle.name, path)
         except OSError:
-            self._unlink_quietly(Path(handle.name))
+            _unlink_quietly(Path(handle.name))
             raise
 
-    @staticmethod
-    def _unlink_quietly(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
 
-    def clear(self) -> None:
-        """Drop every stage's memory layer and remove every disk artifact."""
-        for memory in self._memory.values():
-            memory.clear()
-        if self.cache_dir is None:
-            return
-        stage_root = self.cache_dir / STAGE_SUBDIR
-        if not stage_root.is_dir():
-            return
-        for path in stage_root.glob("*/*.json"):
-            self._unlink_quietly(path)
+def _unlink_quietly(path: Path) -> bool:
+    """Remove *path*; ``False`` when it was already gone or is undeletable."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
 
 
 @dataclass
 class CacheAreaReport:
-    """One area of the shared disk-cache layout (for ``repro cache``)."""
+    """One stage area of the shared disk-cache layout (for ``repro cache``)."""
 
     name: str
     directory: Path
@@ -249,46 +279,33 @@ class CacheAreaReport:
 
 
 def scan_cache_dir(root: Union[str, Path]) -> list:
-    """Describe every area of a shared cache root.
+    """Describe every ``stages/<stage>/`` area of a shared cache root.
 
-    The root's top-level ``*.json`` files are the partition engine's outcome
-    cache; each ``stages/<stage>/`` subdirectory is one pipeline stage's
-    artifact cache.  Returns a :class:`CacheAreaReport` per area (always
-    including ``partition``, even when empty, so output is stable).
+    Returns one :class:`CacheAreaReport` per stage directory, named
+    ``stage:<stage>``, in name order.
     """
-    root = Path(root)
+    stage_root = Path(root) / STAGE_SUBDIR
+    if not stage_root.is_dir():
+        return []
     areas = []
-    partition = CacheAreaReport(name="partition", directory=root)
-    if root.is_dir():
-        for path in sorted(root.glob("*.json")):
-            partition.files.append(path)
-            partition.entries += 1
+    for stage_dir in sorted(p for p in stage_root.iterdir() if p.is_dir()):
+        area = CacheAreaReport(name=f"stage:{stage_dir.name}", directory=stage_dir)
+        for path in sorted(stage_dir.glob("*.json")):
             try:
-                partition.bytes += path.stat().st_size
+                area.bytes += path.stat().st_size
             except OSError:
-                continue
-    areas.append(partition)
-    stage_root = root / STAGE_SUBDIR
-    if stage_root.is_dir():
-        for stage_dir in sorted(p for p in stage_root.iterdir() if p.is_dir()):
-            area = CacheAreaReport(name=f"stage:{stage_dir.name}", directory=stage_dir)
-            for path in sorted(stage_dir.glob("*.json")):
-                area.files.append(path)
-                area.entries += 1
-                try:
-                    area.bytes += path.stat().st_size
-                except OSError:
-                    continue
-            areas.append(area)
+                continue  # concurrently removed
+            area.files.append(path)
+            area.entries += 1
+        areas.append(area)
     return areas
 
 
 def prune_cache_dir(root: Union[str, Path], max_entries: int) -> int:
     """Prune every cache area of *root* down to *max_entries* files each.
 
-    Oldest-mtime entries go first (the same policy as
-    :class:`~repro.runtime.cache.DiskCache`).  Returns the number of files
-    removed across all areas.
+    Oldest-mtime entries go first.  Returns the number of files removed
+    across all areas.
     """
     if max_entries < 0:
         raise ValueError("max_entries must be non-negative")
@@ -303,23 +320,19 @@ def prune_cache_dir(root: Union[str, Path], max_entries: int) -> int:
             except OSError:
                 continue
         excess = len(stamped) - max_entries
-        for _mtime, _name, path in sorted(stamped)[:excess]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        removed += sum(
+            _unlink_quietly(path) for _mtime, _name, path in sorted(stamped)[:excess]
+        )
     return removed
 
 
 def clear_cache_dir(root: Union[str, Path]) -> int:
-    """Remove every cached file under *root*; returns the number removed."""
-    removed = 0
-    for area in scan_cache_dir(root):
-        for path in area.files:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    """Remove every cached file under *root*; returns the number removed.
+
+    Top-level ``<root>/*.json`` files — partition outcomes written before
+    partition outcomes became a stage — are never read, but are removed
+    too.
+    """
+    stale = sorted(Path(root).glob("*.json"))
+    files = stale + [path for area in scan_cache_dir(root) for path in area.files]
+    return sum(_unlink_quietly(path) for path in files)

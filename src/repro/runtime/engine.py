@@ -7,8 +7,9 @@ blocking single call into a throughput-oriented service primitive:
   together, in input order;
 * **dedup** — jobs that canonicalise to the same fingerprint are solved once
   per batch, the copies served as ``batch-dedup`` hits;
-* **caching** — solved outcomes land in a bounded in-memory LRU and,
-  optionally, an on-disk JSON cache shared across processes and runs;
+* **caching** — solved outcomes are ``partition``-stage artifacts of an
+  :class:`~repro.runtime.artifacts.ArtifactStore`: a bounded in-memory LRU
+  and, optionally, an on-disk JSON layer shared across processes and runs;
 * **parallelism** — cache misses fan out across a ``ProcessPoolExecutor``
   with per-job solver selection, per-job wall-clock timeouts and structured
   crash reports (a dead worker marks its job ``crashed``, it does not take
@@ -31,7 +32,7 @@ from ..errors import PartitioningError, ReproError
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from ..taskgraph.graph import TaskGraph
-from .cache import CacheStats, ResultCache
+from .artifacts import PARTITION, STAGE_VERSIONS, ArtifactStore, StageStats
 from .jobs import (
     JobOutcome,
     JobReport,
@@ -63,13 +64,10 @@ class EngineConfig:
         each individual solve from inside the worker). Requires
         ``workers >= 2`` — in-process solves cannot be interrupted.
     lru_capacity:
-        Entries kept in the in-memory result cache.
+        Entries kept per stage in the in-memory artifact cache.
     cache_dir:
-        Optional directory for the on-disk result cache; ``None`` disables
-        the disk layer.
-    max_disk_entries:
-        Optional bound on the on-disk cache; when exceeded, oldest-mtime
-        entries are pruned (``None`` = unbounded).
+        Optional cache root for the on-disk artifact layer; ``None``
+        disables the disk layer.
     """
 
     workers: int = 0
@@ -79,13 +77,10 @@ class EngineConfig:
     job_timeout: Optional[float] = None
     lru_capacity: int = 256
     cache_dir: Optional[Union[str, Path]] = None
-    max_disk_entries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise PartitioningError("workers must be non-negative")
-        if self.max_disk_entries is not None and self.max_disk_entries < 1:
-            raise PartitioningError("max_disk_entries must be at least 1")
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise PartitioningError("job_timeout must be positive")
         if self.job_timeout is not None and self.workers < 2:
@@ -105,7 +100,11 @@ class EngineConfig:
 
 @dataclass
 class EngineStats:
-    """Cumulative accounting across every batch an engine has run."""
+    """Cumulative accounting across every batch an engine has run.
+
+    ``cache`` is the ``partition`` stage's counters of the engine's
+    artifact store.
+    """
 
     jobs: int = 0
     solved: int = 0
@@ -113,7 +112,7 @@ class EngineStats:
     timeouts: int = 0
     crashes: int = 0
     deduped: int = 0
-    cache: CacheStats = field(default_factory=CacheStats)
+    cache: StageStats = field(default_factory=StageStats)
 
     def snapshot(self) -> Dict[str, int]:
         """Flat dict of every counter (cache counters prefixed)."""
@@ -129,7 +128,6 @@ class EngineStats:
             "cache_misses": self.cache.misses,
             "cache_stores": self.cache.stores,
             "cache_disk_write_errors": self.cache.disk_write_errors,
-            "cache_disk_pruned": self.cache.disk_pruned,
         }
 
 
@@ -185,12 +183,8 @@ class PartitionEngine:
         elif overrides:
             raise PartitioningError("pass either a config object or keyword overrides")
         self.config = config
-        self.cache = ResultCache(
-            lru_capacity=config.lru_capacity,
-            cache_dir=config.cache_dir,
-            max_disk_entries=config.max_disk_entries,
-        )
-        self.stats = EngineStats(cache=self.cache.stats)
+        self.store = ArtifactStore(config.cache_dir, lru_capacity=config.lru_capacity)
+        self.stats = EngineStats(cache=self.store.stats_for(PARTITION))
         self.last_batch: Optional[BatchReport] = None
 
     # ------------------------------------------------------------------
@@ -242,15 +236,15 @@ class PartitionEngine:
         for job, fingerprint in zip(jobs, fingerprints):
             if fingerprint in cached or fingerprint in miss_jobs:
                 continue
-            before = (self.cache.stats.memory_hits, self.cache.stats.disk_hits)
-            outcome = self.cache.get(fingerprint)
+            outcome, source = self.store.get(
+                PARTITION,
+                STAGE_VERSIONS[PARTITION],
+                fingerprint,
+                decode=JobOutcome.from_json_dict,
+            )
             if outcome is not None:
                 cached[fingerprint] = outcome
-                sources[fingerprint] = (
-                    ResultSource.MEMORY_CACHE
-                    if self.cache.stats.memory_hits > before[0]
-                    else ResultSource.DISK_CACHE
-                )
+                sources[fingerprint] = ResultSource(source)
             else:
                 miss_order.append(fingerprint)
                 miss_jobs[fingerprint] = job
@@ -320,7 +314,16 @@ class PartitionEngine:
                 for fingerprint in miss_order
             }
         for fingerprint, outcome in solved.items():
-            self.cache.put(fingerprint, outcome)
+            # Failures are never cached: a timeout under one limit or a
+            # crash is not a property of the problem.
+            if outcome.ok:
+                self.store.put(
+                    PARTITION,
+                    STAGE_VERSIONS[PARTITION],
+                    fingerprint,
+                    outcome,
+                    encode=JobOutcome.to_json_dict,
+                )
         return solved
 
     def _run_inline(self, job: PartitionJob, fingerprint: str) -> JobOutcome:

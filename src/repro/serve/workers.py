@@ -3,10 +3,11 @@
 Each worker owns a full :class:`~repro.synth.flow_engine.FlowEngine` (and a
 single-thread executor to run its synchronous, CPU-bound flows off the
 event loop) — workers never share mutable engine state.  What they *do*
-share is the on-disk cache root: the partition result cache and the stage
-artifact store are multi-process safe (atomic temp-file + rename writes,
-proven under concurrency in the test suite), so a solve finished by any
-worker warms every other worker and every later daemon run.
+share is the on-disk cache root: the artifact store holding partition
+outcomes and stage artifacts is multi-process safe (atomic temp-file +
+rename writes, proven under concurrency in the test suite), so a solve
+finished by any worker warms every other worker and every later daemon
+run.
 
 Failure capture mirrors the flow engine's own structured reports: a job
 that fails inside a stage carries ``failed_stage``/``error``/``error_kind``

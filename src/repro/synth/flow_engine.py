@@ -11,9 +11,9 @@ reduced to a DAG of content-addressed stage keys
   optional disk) whenever any previous job shared the graph and device;
 * the dominant **partition** stage is routed through the caching/parallel
   :class:`~repro.runtime.engine.PartitionEngine` (canonical-hash dedup,
-  LRU + disk caches, process-pool fan-out), with CT-invariant solver
-  configurations normalised so the whole reconfiguration-time axis shares
-  one solve;
+  ``partition`` artifacts in the same store, process-pool fan-out), with
+  CT-invariant solver configurations normalised so the whole
+  reconfiguration-time axis shares one solve;
 * the **memory-map / fission / timing** stages are shared through the
   in-memory artifact cache.
 
@@ -260,8 +260,9 @@ class FlowEngine:
     system, solver) jobs dedup, repeats hit the LRU/disk caches, and misses
     fan out across the worker pool; estimation and the downstream stages are
     served from the content-addressed artifact store whenever any earlier
-    job shared their stage keys.  When the partition engine has a disk cache
-    directory, stage artifacts share the same root (under ``stages/``).
+    job shared their stage keys.  The pipeline runs on the partition
+    engine's own :class:`~repro.runtime.artifacts.ArtifactStore`, so one
+    engine has one store per cache root.
     """
 
     def __init__(
@@ -278,9 +279,7 @@ class FlowEngine:
         if engine is None:
             engine = PartitionEngine(config or EngineConfig(**overrides))
         self.engine = engine
-        self.pipeline = pipeline or StagePipeline(
-            cache_dir=engine.config.cache_dir
-        )
+        self.pipeline = pipeline or StagePipeline(store=engine.store)
 
     @property
     def stats(self):

@@ -7,10 +7,11 @@
 * the **estimate** stage is cached in memory and on disk (its artifact —
   every task's cost — is plain JSON), so an explore neighbour that shares
   the graph and device pays zero HLS estimations;
-* the **partition** stage keeps its cache in the
-  :class:`~repro.runtime.engine.PartitionEngine` (dedup, LRU + disk,
-  process-pool fan-out) — the pipeline contributes the CT-normalisation
-  that collapses the reconfiguration-time axis onto one solve;
+* the **partition** stage is run by the
+  :class:`~repro.runtime.engine.PartitionEngine` (dedup, process-pool
+  fan-out), which stores its outcomes as ``partition`` artifacts of the
+  same store — the pipeline contributes the CT-normalisation that
+  collapses the reconfiguration-time axis onto one solve;
 * the **memory-map / fission / timing** stages are cached in memory; their
   artifacts are cheap to compute but free to share, and sharing keeps a
   warm neighbourhood evaluation down to rehydration plus objectives.
@@ -51,8 +52,14 @@ class StagePipeline:
     # ------------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-stage counter dicts (hits/misses/stores/runs), by stage name."""
-        return self.store.snapshot()
+        """Per-stage counter dicts (hits/misses/stores/runs), by stage name.
+
+        The ``partition`` counters are left out: the partition engine
+        reports them as its ``cache_*`` statistics.
+        """
+        snapshot = self.store.snapshot()
+        snapshot.pop(stages.PARTITION, None)
+        return snapshot
 
     def describe_stats(self) -> str:
         """One-line ``stage hits/lookups`` summary for logs and CLI stderr."""
@@ -102,22 +109,24 @@ class StagePipeline:
         artifact rehydrates onto any content-equal graph instance.
         """
         key = plan.key(stages.ESTIMATE)
-        stats = self.store.stats_for(stages.ESTIMATE)
-        payload, source = self.store.get(
-            key.stage, key.version, key.digest, decode=lambda value: value
+        costs, source = self.store.get(
+            key.stage,
+            key.version,
+            key.digest,
+            decode=lambda payload: stages.decode_estimate_artifact(payload, graph),
         )
-        if payload is not None:
+        if costs is not None:
             if graph.all_estimated():
                 return graph, source
-            return stages.apply_estimate_artifact(graph, payload), source
-        stats.runs += 1
+            return stages.apply_estimate_artifact(graph, costs), source
+        self.store.stats_for(stages.ESTIMATE).runs += 1
         estimated = stages.run_estimate(graph, system, options)
         self.store.put(
             key.stage,
             key.version,
             key.digest,
             stages.estimate_artifact(estimated),
-            encode=lambda value: value,
+            encode=stages.encode_estimate_artifact,
         )
         return estimated, COMPUTED
 

@@ -45,6 +45,14 @@ from ..memmap.mapper import MemoryMap, build_memory_map
 from ..partition.registry import partitioner_entry
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
+from ..runtime.artifacts import (
+    ESTIMATE,
+    FISSION,
+    MEMORY_MAP,
+    PARTITION,
+    STAGE_VERSIONS,
+    TIMING,
+)
 from ..runtime.canonical import (
     canonical_device_dict,
     canonical_fingerprint,
@@ -54,33 +62,8 @@ from ..runtime.jobs import JobOutcome, SolverSpec
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import TaskCost
 
-#: Stage names, in flow order (the values of
-#: :class:`~repro.synth.flow_engine.FlowStage` for the cached stages).
-ESTIMATE = "estimate"
-PARTITION = "partition"
-MEMORY_MAP = "memory-map"
-FISSION = "fission"
-TIMING = "timing"
-
 #: The cached pipeline stages in dependency order.
 PIPELINE_STAGES: Tuple[str, ...] = (ESTIMATE, PARTITION, MEMORY_MAP, FISSION, TIMING)
-
-#: Per-stage version tags.  A bump invalidates every cached entry of that
-#: stage (and, through key chaining, of its downstream dependents) while
-#: leaving the rest of the disk cache valid.
-STAGE_VERSIONS: Dict[str, int] = {
-    ESTIMATE: 1,
-    # v2: stronger preprocessing lower bound (cardinality), symmetry breaking
-    # and cardinality cuts for the built-in backend, and the anneal/portfolio
-    # partitioners — cached v1 partition results may differ in assignment.
-    # v3: the multilevel pre-partitioner family and the nonenumerative Eq. 7
-    # path generation (path constraints now enter the ILP in delay order, so
-    # solver traces — though not optima — can differ from v2).
-    PARTITION: 3,
-    MEMORY_MAP: 1,
-    FISSION: 1,
-    TIMING: 1,
-}
 
 
 @dataclass(frozen=True)
@@ -300,17 +283,19 @@ def run_estimate(graph: TaskGraph, system: RtrSystem, options) -> TaskGraph:
     return estimator.estimate_task_graph(graph.copy())
 
 
-def estimate_artifact(graph: TaskGraph) -> Dict[str, object]:
-    """The JSON-able artifact of an estimated graph: every task's cost.
+def estimate_artifact(graph: TaskGraph) -> Dict[str, TaskCost]:
+    """The artifact of an estimated graph: every task's cost, by task name."""
+    return {name: graph.task(name).cost for name in graph.task_names()}
+
+
+def encode_estimate_artifact(costs: Dict[str, TaskCost]) -> Dict[str, object]:
+    """The JSON payload of an estimate artifact.
 
     Floats are stored bit-exactly (``float.hex``) so a rehydrated cost is
     byte-identical to the freshly estimated one.
     """
-    payload: Dict[str, object] = {}
-    for name in graph.task_names():
-        task = graph.task(name)
-        cost = task.cost
-        payload[name] = {
+    return {
+        name: {
             "resources": {
                 kind: int(amount)
                 for kind, amount in sorted(cost.resources.as_dict().items())
@@ -321,11 +306,44 @@ def estimate_artifact(graph: TaskGraph) -> Dict[str, object]:
                 None if cost.clock_period is None else float(cost.clock_period).hex()
             ),
         }
-    return payload
+        for name, cost in costs.items()
+    }
+
+
+def decode_estimate_artifact(
+    payload: Dict[str, object], graph: TaskGraph
+) -> Dict[str, TaskCost]:
+    """Inverse of :func:`encode_estimate_artifact`, checked against *graph*.
+
+    Raises (``KeyError``, ``TypeError``, ``ValueError`` or
+    :class:`~repro.errors.SynthesisError`) unless the payload holds a
+    well-formed cost for exactly the tasks of *graph*, so the artifact
+    store treats a malformed disk entry as a miss.
+    """
+    if set(payload) != set(graph.task_names()):
+        raise SynthesisError(
+            f"estimate artifact covers tasks {sorted(payload)}, not those of "
+            f"graph {graph.name!r}"
+        )
+    return {
+        name: TaskCost(
+            resources=ResourceVector(
+                {kind: int(amount) for kind, amount in entry["resources"].items()}
+            ),
+            delay=float.fromhex(entry["delay"]),
+            cycles=entry["cycles"],
+            clock_period=(
+                None
+                if entry["clock_period"] is None
+                else float.fromhex(entry["clock_period"])
+            ),
+        )
+        for name, entry in payload.items()
+    }
 
 
 def apply_estimate_artifact(
-    graph: TaskGraph, payload: Dict[str, object]
+    graph: TaskGraph, costs: Dict[str, TaskCost]
 ) -> TaskGraph:
     """Rehydrate an estimated graph from a cached estimate artifact.
 
@@ -334,27 +352,8 @@ def apply_estimate_artifact(
     attached.
     """
     estimated = graph.copy()
-    for name, entry in payload.items():
-        if name not in estimated:
-            raise SynthesisError(
-                f"estimate artifact names unknown task {name!r}; the stage key "
-                "should have prevented this"
-            )
-        estimated.set_cost(
-            name,
-            TaskCost(
-                resources=ResourceVector(
-                    {kind: int(amount) for kind, amount in entry["resources"].items()}
-                ),
-                delay=float.fromhex(entry["delay"]),
-                cycles=entry["cycles"],
-                clock_period=(
-                    None
-                    if entry["clock_period"] is None
-                    else float.fromhex(entry["clock_period"])
-                ),
-            ),
-        )
+    for name, cost in costs.items():
+        estimated.set_cost(name, cost)
     return estimated
 
 

@@ -1,10 +1,10 @@
-"""Multiprocess stress tests for the shared disk caches.
+"""Multiprocess stress tests for the shared disk cache.
 
-Two writer processes hammer the *same* key of :class:`DiskCache` (partition
-outcomes) and :class:`ArtifactStore` (stage artifacts) while the parent
-reads concurrently.  The writes are atomic (temp file + ``os.replace``), so
-every read must observe either a miss or one complete, valid payload —
-never a torn mixture — and no temporary files may survive a clean finish.
+Two writer processes hammer the *same* key of the :class:`ArtifactStore` —
+as partition outcomes and as plain stage artifacts — while the parent reads
+concurrently.  The writes are atomic (temp file + ``os.replace``), so every
+read must observe either a miss or one complete, valid payload — never a
+torn mixture — and no temporary files may survive a clean finish.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ import time
 
 import pytest
 
-from repro.runtime.artifacts import ArtifactStore
-from repro.runtime.cache import DiskCache
+from repro.runtime.artifacts import (
+    PARTITION,
+    STAGE_VERSIONS,
+    ArtifactStore,
+    prune_cache_dir,
+)
 from repro.runtime.jobs import JobOutcome, JobStatus
 
 FINGERPRINT = "f" * 64
@@ -40,10 +44,30 @@ def _outcome(writer: int, iteration: int) -> JobOutcome:
     )
 
 
+def _put_outcome(root, fingerprint: str, outcome: JobOutcome) -> None:
+    ArtifactStore(cache_dir=root).put(
+        PARTITION,
+        STAGE_VERSIONS[PARTITION],
+        fingerprint,
+        outcome,
+        encode=JobOutcome.to_json_dict,
+    )
+
+
+def _get_outcome(root, fingerprint: str):
+    """Read one outcome through a fresh store, so the disk layer answers."""
+    value, _source = ArtifactStore(cache_dir=root).get(
+        PARTITION,
+        STAGE_VERSIONS[PARTITION],
+        fingerprint,
+        decode=JobOutcome.from_json_dict,
+    )
+    return value
+
+
 def _hammer_disk_cache(directory: str, writer: int) -> None:
-    cache = DiskCache(directory)
     for iteration in range(WRITES_PER_PROCESS):
-        cache.put(FINGERPRINT, _outcome(writer, iteration))
+        _put_outcome(directory, FINGERPRINT, _outcome(writer, iteration))
 
 
 def _hammer_artifact_store(root: str, writer: int) -> None:
@@ -51,6 +75,10 @@ def _hammer_artifact_store(root: str, writer: int) -> None:
     for iteration in range(WRITES_PER_PROCESS):
         payload = {"writer": writer, "iteration": iteration, "blob": "x" * 512}
         store.put(STAGE, STAGE_VERSION, DIGEST, payload, encode=lambda value: value)
+
+
+def _partition_dir(root):
+    return root / "stages" / PARTITION
 
 
 PRUNE_MAX_ENTRIES = 8
@@ -62,10 +90,9 @@ def _prune_key(writer: int, iteration: int) -> str:
     return f"{writer:02d}{iteration:05d}".ljust(64, "e")
 
 
-def _hammer_pruning_cache(directory: str, writer: int) -> None:
-    cache = DiskCache(directory, max_entries=PRUNE_MAX_ENTRIES)
+def _hammer_distinct_keys(directory: str, writer: int) -> None:
     for iteration in range(PRUNE_WRITES_PER_PROCESS):
-        cache.put(_prune_key(writer, iteration), _outcome(writer, iteration))
+        _put_outcome(directory, _prune_key(writer, iteration), _outcome(writer, iteration))
 
 
 def _run_writers(target, args_for):
@@ -86,7 +113,6 @@ def _join_all(writers):
 
 class TestDiskCacheConcurrentWriters:
     def test_same_key_writers_never_produce_a_torn_read(self, tmp_path):
-        cache = DiskCache(tmp_path)
         writers = _run_writers(
             _hammer_disk_cache, lambda writer: (str(tmp_path), writer)
         )
@@ -95,11 +121,11 @@ class TestDiskCacheConcurrentWriters:
             # Wait out the spawn start-up so the read loop genuinely races
             # the writers instead of finishing before the first write lands.
             deadline = time.monotonic() + 60
-            while cache.get(FINGERPRINT) is None:
+            while _get_outcome(tmp_path, FINGERPRINT) is None:
                 assert time.monotonic() < deadline, "writers never wrote"
                 time.sleep(0.01)
             for _ in range(READS):
-                outcome = cache.get(FINGERPRINT)
+                outcome = _get_outcome(tmp_path, FINGERPRINT)
                 if outcome is None:
                     continue  # transiently treated-as-corrupt: a miss, never an error
                 observed += 1
@@ -113,49 +139,53 @@ class TestDiskCacheConcurrentWriters:
         finally:
             _join_all(writers)
         assert observed > 0, "the read loop never raced a completed write"
-        final = cache.get(FINGERPRINT)
+        final = _get_outcome(tmp_path, FINGERPRINT)
         assert final is not None and final.partition_count in (1, 2)
-        assert not list(tmp_path.glob("*.tmp")), "temporary write files leaked"
+        leaked = list(_partition_dir(tmp_path).glob("*.tmp"))
+        assert not leaked, "temporary write files leaked"
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put(FINGERPRINT, _outcome(0, 0))
-        (tmp_path / f"{FINGERPRINT}.json").write_text("{ torn", encoding="utf-8")
-        assert cache.get(FINGERPRINT) is None
+        _put_outcome(tmp_path, FINGERPRINT, _outcome(0, 0))
+        path = _partition_dir(tmp_path) / f"{FINGERPRINT}.json"
+        path.write_text("{ torn", encoding="utf-8")
+        assert _get_outcome(tmp_path, FINGERPRINT) is None
+        assert not path.exists()
         # The next write repairs the entry.
-        cache.put(FINGERPRINT, _outcome(1, 1))
-        assert cache.get(FINGERPRINT).partition_count == 2
+        _put_outcome(tmp_path, FINGERPRINT, _outcome(1, 1))
+        assert _get_outcome(tmp_path, FINGERPRINT).partition_count == 2
 
 
 class TestDiskCachePruningUnderConcurrency:
-    """A bounded cache pruning entries out from under concurrent readers.
+    """``prune_cache_dir`` removing entries out from under live readers.
 
-    Two writer processes stream *distinct* keys through a small
-    ``max_entries`` bound, so every store prunes — files vanish constantly
-    while the parent lists and reads them.  A read racing a prune must be
-    a miss, never an error and never a torn payload; the bound must hold
-    once the writers finish; and no temp files may leak.
+    Two writer processes stream *distinct* keys into one cache root while
+    the parent repeatedly prunes it to a small bound and reads whatever is
+    listed — files vanish constantly.  A read racing a prune must be a
+    miss, never an error and never a torn payload; the bound must hold
+    after a final prune; and no temp files may leak.
     """
 
     def test_pruning_while_reading_is_a_miss_never_an_error(self, tmp_path):
-        reader = DiskCache(tmp_path, max_entries=PRUNE_MAX_ENTRIES)
+        partition_dir = _partition_dir(tmp_path)
         writers = _run_writers(
-            _hammer_pruning_cache, lambda writer: (str(tmp_path), writer)
+            _hammer_distinct_keys, lambda writer: (str(tmp_path), writer)
         )
         hits = 0
         try:
             deadline = time.monotonic() + 60
-            while not list(tmp_path.glob("*.json")):
+            while not list(partition_dir.glob("*.json")):
                 assert time.monotonic() < deadline, "writers never wrote"
                 time.sleep(0.01)
             for _ in range(READS):
                 # Read whatever is present *right now*: by the time the
                 # read happens the pruner may already have deleted it,
                 # which is exactly the race under test.
-                for path in list(tmp_path.glob("*.json"))[:4]:
-                    outcome = reader.get(path.stem)
+                listed = list(partition_dir.glob("*.json"))[:4]
+                prune_cache_dir(tmp_path, PRUNE_MAX_ENTRIES)
+                for path in listed:
+                    outcome = _get_outcome(tmp_path, path.stem)
                     if outcome is None:
-                        continue  # pruned (or repruned) between list and read
+                        continue  # pruned between list and read
                     hits += 1
                     assert outcome.status is JobStatus.SOLVED
                     assert outcome.partition_count in (1, 2)
@@ -164,21 +194,9 @@ class TestDiskCachePruningUnderConcurrency:
         finally:
             _join_all(writers)
         assert hits > 0, "the read loop never overlapped a live entry"
-        # One more bounded store re-establishes the invariant regardless of
-        # how the two pruners' final removals interleaved.
-        reader.put(_prune_key(9, 0), _outcome(0, 0))
-        remaining = list(tmp_path.glob("*.json"))
-        assert len(remaining) <= PRUNE_MAX_ENTRIES
-        assert not list(tmp_path.glob("*.tmp")), "temporary write files leaked"
-
-    def test_prune_never_evicts_the_entry_just_written(self, tmp_path):
-        cache = DiskCache(tmp_path, max_entries=2)
-        for iteration in range(10):
-            key = _prune_key(0, iteration)
-            cache.put(key, _outcome(0, iteration))
-            assert cache.get(key) is not None, "prune evicted its own store"
-        assert len(list(tmp_path.glob("*.json"))) <= 2
-        assert cache.pruned >= 8
+        prune_cache_dir(tmp_path, PRUNE_MAX_ENTRIES)
+        assert len(list(partition_dir.glob("*.json"))) <= PRUNE_MAX_ENTRIES
+        assert not list(partition_dir.glob("*.tmp")), "temporary write files leaked"
 
 
 class TestArtifactStoreConcurrentWriters:
@@ -224,7 +242,8 @@ class TestArtifactStoreConcurrentWriters:
 
 @pytest.mark.parametrize("writers", [2, 3])
 def test_interleaved_disk_and_artifact_writers(tmp_path, writers):
-    """Both cache layers under one root, several writers each, no cross-talk."""
+    """Partition outcomes and estimate artifacts under one root, several
+    writers each, no cross-talk."""
     context = multiprocessing.get_context("spawn")
     processes = []
     for writer in range(writers):
@@ -237,7 +256,7 @@ def test_interleaved_disk_and_artifact_writers(tmp_path, writers):
     for process in processes:
         process.start()
     _join_all(processes)
-    outcome = DiskCache(tmp_path).get(FINGERPRINT)
+    outcome = _get_outcome(tmp_path, FINGERPRINT)
     assert outcome is not None
     assert outcome.assignment["b"] == outcome.partition_count
     value, source = ArtifactStore(cache_dir=tmp_path).get(

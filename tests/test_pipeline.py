@@ -376,6 +376,48 @@ class TestDeltaEvaluation:
         assert report.stage_sources["estimate"] == "computed"
         assert fresh.stage_stats["estimate"]["runs"] == 1
 
+    def test_partition_version_bump_invalidates_solved_outcomes(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = workload_flow_jobs(names=["matmul_pipeline"])
+        assert FlowEngine(config=EngineConfig(cache_dir=tmp_path)).run_batch(jobs).ok
+        bumped = stages.STAGE_VERSIONS[stages.PARTITION] + 1
+        monkeypatch.setitem(stages.STAGE_VERSIONS, stages.PARTITION, bumped)
+        fresh = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        report = fresh.run_batch(workload_flow_jobs(names=["matmul_pipeline"]))[0]
+        assert report.ok
+        assert report.partition_source == "solve"
+        # The old-version outcome is gone; what is left is the re-solve.
+        outcomes = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in tmp_path.rglob("*.json")
+            if "estimate" not in path.parts
+        ]
+        assert outcomes and all(entry.get("version") == bumped for entry in outcomes)
+
+    @pytest.mark.parametrize("tamper", ["missing-field", "unknown-task"])
+    def test_malformed_estimate_artifact_heals(self, tmp_path, tamper):
+        """A current-version estimate entry with a bad payload is a healed
+        miss: the batch recomputes the costs and rewrites the file."""
+        assert FlowEngine(config=EngineConfig(cache_dir=tmp_path)).run_batch(
+            workload_flow_jobs(names=["fir_filterbank"])
+        ).ok
+        [path] = (tmp_path / "stages" / stages.ESTIMATE).glob("*.json")
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        good = entry["payload"]
+        task = sorted(good)[0]
+        if tamper == "missing-field":
+            entry["payload"] = {task: {"delay": good[task]["delay"]}}
+        else:
+            entry["payload"] = {"no-such-task": good[task]}
+        path.write_text(json.dumps(entry), encoding="utf-8")
+
+        fresh = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        report = fresh.run_batch(workload_flow_jobs(names=["fir_filterbank"]))[0]
+        assert report.row()["status"] == "ok"
+        assert report.stage_sources["estimate"] == "computed"
+        assert json.loads(path.read_text(encoding="utf-8"))["payload"] == good
+
     def test_row_carries_stage_times_and_sources(self):
         engine = FlowEngine()
         row = engine.run_batch(workload_flow_jobs(names=["matmul_pipeline"]))[0].row()
@@ -482,6 +524,9 @@ class TestExploreNeighbourhoods:
         ).run()
         assert "stage_estimate_runs" in result.engine_stats
         assert "stage_memory_map_memory_hits" in result.engine_stats
+        # Partition counters appear once, under the engine's cache_* keys.
+        assert "cache_misses" in result.engine_stats
+        assert not any(key.startswith("stage_partition_") for key in result.engine_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +582,11 @@ class TestPipelinePlumbing:
         estimated = stages.run_estimate(
             graph, workload.default_system(), workload.flow_options()
         )
-        payload = stages.estimate_artifact(estimated)
+        payload = stages.encode_estimate_artifact(stages.estimate_artifact(estimated))
         # Through JSON, as the disk layer would store it.
         payload = json.loads(json.dumps(payload))
-        rehydrated = stages.apply_estimate_artifact(graph, payload)
+        costs = stages.decode_estimate_artifact(payload, graph)
+        rehydrated = stages.apply_estimate_artifact(graph, costs)
         for name in estimated.task_names():
             a, b = estimated.task(name), rehydrated.task(name)
             assert a.delay == b.delay

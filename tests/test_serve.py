@@ -322,6 +322,28 @@ class TestServiceEndToEnd:
             stats = client.stats()
             assert stats["queue"]["completed"] == 1
             assert stats["pool"]["jobs_run"] == 1
+            # Partition counters appear once, as the engine's cache_* keys.
+            assert stats["pool"]["engine"]["cache_misses"] == 1
+            assert "partition" not in stats["pool"]["stages"]
+
+    def test_job_on_a_tampered_cache_root_finishes_done(self, tmp_path):
+        """A malformed estimate artifact is a healed miss, not a failed job."""
+        from repro.runtime import EngineConfig
+        from repro.synth import FlowEngine, workload_flow_jobs
+
+        assert FlowEngine(config=EngineConfig(cache_dir=tmp_path)).run_batch(
+            workload_flow_jobs(names=["fir_filterbank"])
+        ).ok
+        [path] = (tmp_path / "stages" / "estimate").glob("*.json")
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        task = sorted(entry["payload"])[0]
+        entry["payload"] = {task: {"delay": entry["payload"][task]["delay"]}}
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        with _server(workers=1, cache_dir=str(tmp_path)) as handle:
+            client = FlowServiceClient(handle.url)
+            ack = client.submit(JobSpec(workload="fir_filterbank"))
+            assert client.wait(ack["job_id"], timeout=120)["state"] == "done"
+            assert client.result(ack["job_id"])["result"]["status"] == "ok"
 
     def test_concurrent_identical_submissions_cost_one_solve(self):
         gate = _gate(11)
