@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace as dataclasses_replace
 from typing import List, Optional
@@ -1463,12 +1464,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        args = parser.parse_args(argv)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``).  Point stdout
+        # at the null device so the exit-time flush of what is still buffered
+        # stays quiet, and report the truncated output as a failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..arch.device import ResourceVector
 from ..errors import PartitioningError
 from .list_partitioner import ListTemporalPartitioner
-from .result import TemporalPartitioning
+from .result import TemporalPartitioning, boundary_words, chain_delays
 from .spec import PartitionProblem
 
 
@@ -138,11 +138,7 @@ class AnnealTemporalPartitioner:
         low = min(assignment[name], target)
         high = max(assignment[name], target)
         for boundary in range(low, high):
-            words = 0
-            for producer, consumer in graph.edges():
-                if trial[producer] <= boundary < trial[consumer]:
-                    words += graph.edge_words(producer, consumer)
-            if words > problem.memory_words:
+            if boundary_words(graph, trial, boundary) > problem.memory_words:
                 return False
         return True
 
@@ -150,26 +146,18 @@ class AnnealTemporalPartitioner:
     def _score(problem: PartitionProblem, assignment: Dict[str, int]) -> float:
         """The paper's objective for *assignment*, empty partitions dropped.
 
-        Recomputes per-partition delays with the same longest-chain rule as
-        :meth:`TemporalPartitioning._partition_delay`, so accepting a move
-        can never disagree with how the final result will be measured.
+        Takes the per-partition delays from :func:`chain_delays`, the rule
+        the final result is measured with, so accepting a move can never
+        disagree with it.  The delays are summed in the order partitions
+        first appear in the topological order.
         """
-        graph = problem.graph
-        used = set(assignment.values())
-        longest: Dict[str, float] = {}
         per_partition: Dict[int, float] = {}
-        for name in graph.topological_order():
+        for name, longest in chain_delays(problem.graph, assignment).items():
             partition = assignment[name]
-            chain = graph.task(name).delay
-            best_pred = 0.0
-            for pred in graph.predecessors(name):
-                if assignment[pred] == partition:
-                    best_pred = max(best_pred, longest[pred])
-            longest[name] = best_pred + chain
-            per_partition[partition] = max(
-                per_partition.get(partition, 0.0), longest[name]
-            )
-        return len(used) * problem.reconfiguration_time + sum(per_partition.values())
+            per_partition[partition] = max(per_partition.get(partition, 0.0), longest)
+        return len(per_partition) * problem.reconfiguration_time + sum(
+            per_partition.values()
+        )
 
 
 def _compress(assignment: Dict[str, int]):

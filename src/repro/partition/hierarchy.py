@@ -73,7 +73,7 @@ from .registry import (
     MULTILEVEL_INNER_CHOICES,
     build_partitioner,
 )
-from .result import TemporalPartitioning
+from .result import TemporalPartitioning, chain_delays
 from .spec import PartitionProblem
 from .validate import validate_partitioning
 
@@ -540,28 +540,19 @@ class MultilevelPartitioner:
 
     @staticmethod
     def _longest_chain(result: TemporalPartitioning, index: int) -> List[str]:
-        """The longest dependency chain inside partition *index*."""
+        """The longest dependency chain inside partition *index*: from the
+        member with the largest :func:`chain_delays` value (ties to the larger
+        name), back through the first in-partition predecessor of maximal delay."""
         members = set(result.tasks_in_partition(index))
-        graph = result.graph
-        longest: Dict[str, float] = {}
-        best_pred: Dict[str, Optional[str]] = {}
-        for name in graph.topological_order():
-            if name not in members:
-                continue
-            delay = graph.task(name).delay
-            chosen: Optional[str] = None
-            best = 0.0
-            for pred in graph.predecessors(name):
-                if pred in members and longest[pred] > best:
-                    best = longest[pred]
-                    chosen = pred
-            longest[name] = best + delay
-            best_pred[name] = chosen
-        if not longest:
+        if not members:
             return []
-        end = max(longest, key=lambda n: (longest[n], n))
-        chain = [end]
-        while best_pred[chain[-1]] is not None:
-            chain.append(best_pred[chain[-1]])
-        chain.reverse()
-        return chain
+        graph = result.graph
+        longest = chain_delays(graph, result.assignment)
+        chain = [max(members, key=lambda n: (longest[n], n))]
+        while True:
+            preds = [
+                p for p in graph.predecessors(chain[-1]) if p in members and longest[p] > 0.0
+            ]
+            if not preds:
+                return chain[::-1]
+            chain.append(max(preds, key=longest.__getitem__))

@@ -9,11 +9,42 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..arch.device import ResourceVector
 from ..errors import PartitioningError
 from ..taskgraph.graph import TaskGraph
+
+
+def chain_delays(graph: TaskGraph, assignment: Mapping[str, int]) -> Dict[str, float]:
+    """Longest same-partition dependency chain ending at each task (seconds).
+
+    The paper's Eq. 7 delay ``d_p`` of partition ``p`` is the maximum of
+    these over the tasks assigned to ``p``.  Every consumer of ``d_p`` — the
+    result layer, the annealer's score, multilevel refinement and the ILP
+    incumbent loader — reads it from here, so no two of them can disagree.
+    The dict is in ``graph.topological_order()``.
+    """
+    longest: Dict[str, float] = {}
+    for name in graph.topological_order():
+        partition = assignment[name]
+        best_pred = 0.0
+        for pred in graph.predecessors(name):
+            if assignment[pred] == partition:
+                best_pred = max(best_pred, longest[pred])
+        longest[name] = best_pred + graph.task(name).delay
+    return longest
+
+
+def boundary_words(graph: TaskGraph, assignment: Mapping[str, int], boundary: int) -> int:
+    """Words live across *boundary* (Eq. 3): the data of every edge whose
+    producer lies in partitions ``1..boundary`` and whose consumer lies in
+    ``boundary+1..N``."""
+    return sum(
+        graph.edge_words(producer, consumer)
+        for producer, consumer in graph.edges()
+        if assignment[producer] <= boundary < assignment[consumer]
+    )
 
 
 @dataclass
@@ -78,10 +109,13 @@ class TemporalPartitioning:
     # ------------------------------------------------------------------
 
     def _build_partition_infos(self) -> List[PartitionInfo]:
+        # Eq. 7 is recomputed from the assignment rather than trusting a
+        # solver's d_p values, so every partitioner is measured alike.
+        longest = chain_delays(self.graph, self.assignment)
         infos: List[PartitionInfo] = []
         for index in range(1, self.partition_count + 1):
             tasks = self.tasks_in_partition(index)
-            delay = self._partition_delay(tasks)
+            delay = max((longest[name] for name in tasks), default=0.0)
             resources = ResourceVector({})
             for name in tasks:
                 resources = resources + self.graph.task(name).resources
@@ -89,26 +123,6 @@ class TemporalPartitioning:
                 PartitionInfo(index=index, tasks=tasks, delay=delay, resources=resources)
             )
         return infos
-
-    def _partition_delay(self, tasks: Sequence[str]) -> float:
-        """Delay of a partition: the longest dependency chain inside it.
-
-        This recomputes the paper's Eq. 7 semantics from the assignment rather
-        than trusting the solver's ``d_p`` values, so every partitioner
-        (ILP, list, greedy) is measured with exactly the same rule.
-        """
-        members = set(tasks)
-        longest: Dict[str, float] = {}
-        for name in self.graph.topological_order():
-            if name not in members:
-                continue
-            delay = self.graph.task(name).delay
-            best_pred = 0.0
-            for pred in self.graph.predecessors(name):
-                if pred in members:
-                    best_pred = max(best_pred, longest[pred])
-            longest[name] = best_pred + delay
-        return max(longest.values(), default=0.0)
 
     # ------------------------------------------------------------------
     # Queries
@@ -156,23 +170,14 @@ class TemporalPartitioning:
 
     def boundary_words(self, boundary: int) -> int:
         """Words stored in memory across boundary *boundary* (after partition
-        *boundary*, before partition *boundary*+1), i.e. the data of every
-        edge whose producer lies in partitions ``1..boundary`` and whose
-        consumer lies in partitions ``boundary+1..N``."""
+        *boundary*, before partition *boundary*+1); see :func:`boundary_words`."""
         if not 1 <= boundary <= self.partition_count - 1:
             if self.partition_count == 1:
                 return 0
             raise PartitioningError(
                 f"boundary {boundary} outside 1..{self.partition_count - 1}"
             )
-        total = 0
-        for producer, consumer in self.graph.edges():
-            if (
-                self.assignment[producer] <= boundary
-                < self.assignment[consumer]
-            ):
-                total += self.graph.edge_words(producer, consumer)
-        return total
+        return boundary_words(self.graph, self.assignment, boundary)
 
     def max_boundary_words(self) -> int:
         """Largest inter-partition data volume across any boundary."""

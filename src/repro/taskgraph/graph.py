@@ -30,6 +30,8 @@ class TaskGraph:
             raise GraphError("task graph name must not be empty")
         self.name = name
         self._graph = nx.DiGraph()
+        # Memo of topological_order(); every structural mutation clears it.
+        self._topological: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -50,6 +52,7 @@ class TaskGraph:
             raise GraphError(f"duplicate task name {task.name!r} in {self.name!r}")
         if env_input_words < 0 or env_output_words < 0:
             raise GraphError("environment data volumes must be non-negative")
+        self._topological = None
         self._graph.add_node(
             task.name,
             task=task,
@@ -68,6 +71,7 @@ class TaskGraph:
             raise GraphError(f"edge data volume must be non-negative, got {words}")
         if self._graph.has_edge(producer, consumer):
             raise GraphError(f"duplicate edge {producer!r} -> {consumer!r}")
+        self._topological = None
         self._graph.add_edge(producer, consumer, words=words)
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(producer, consumer)
@@ -101,6 +105,7 @@ class TaskGraph:
                     raise GraphError(
                         f"duplicate edge {producer!r} -> {consumer!r}"
                     )
+                self._topological = None
                 self._graph.add_edge(producer, consumer, words=words)
                 added.append((producer, consumer))
             if not nx.is_directed_acyclic_graph(self._graph):
@@ -109,6 +114,7 @@ class TaskGraph:
                     f"{self.name!r}"
                 )
         except Exception:
+            self._topological = None
             self._graph.remove_edges_from(added)
             raise
 
@@ -246,8 +252,14 @@ class TaskGraph:
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """Task names in a topological order."""
-        return list(nx.topological_sort(self._graph))
+        """Task names in a topological order (a fresh list per call).
+
+        The order is ``nx.topological_sort``'s, computed once per graph
+        shape: adding a task or an edge clears the memo.
+        """
+        if self._topological is None:
+            self._topological = list(nx.topological_sort(self._graph))
+        return list(self._topological)
 
     def validate(self) -> None:
         """Check structural invariants (acyclicity, non-empty)."""

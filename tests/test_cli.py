@@ -1,6 +1,9 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -444,3 +447,33 @@ class TestSchedulerCli:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early (``repro ... | head``) must get a
+    quiet non-zero exit, not a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["workloads", "list"],
+            ["partition-batch", "--ct-sweep", "1,2,3,4,5", "--format", "json"],
+        ],
+        ids=["short-output", "json-rows"],
+    )
+    def test_broken_pipe_exits_quietly(self, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(p) for p in sys.path if p] or [""])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write the child makes hits EPIPE
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *command],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode != 0
+        assert "Traceback" not in child.stderr
+        assert "BrokenPipeError" not in child.stderr

@@ -1,5 +1,6 @@
 """Tests for behaviour-level task graphs (repro.taskgraph)."""
 
+import networkx as nx
 import pytest
 
 from repro.arch import clbs
@@ -173,6 +174,89 @@ class TestBulkEdgeInsertion:
         with pytest.raises(CycleError):
             graph.add_edges([("t1", "t2", 4), ("t2", "t0", 4)])
         assert sorted(graph.edges()) == [("t0", "t1")]
+
+
+
+class TestTopologicalOrderMemo:
+    """``topological_order`` sorts once per graph shape and hands out copies."""
+
+    @staticmethod
+    def _fresh_order(graph):
+        return list(nx.topological_sort(graph.to_networkx()))
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+        real = nx.topological_sort
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(nx, "topological_sort", counting)
+        return calls
+
+    def test_sorts_once_per_shape(self, sorts):
+        graph = TestBulkEdgeInsertion._nodes(3)
+        graph.add_edge("t2", "t0")
+        first = graph.topological_order()
+        assert graph.topological_order() == first == self._fresh_order(graph)
+        assert len(sorts) == 2  # one memo fill plus the reference sort above
+        graph.set_cost("t1", clb_cost(5, ns(5)))
+        graph.topological_order()
+        assert len(sorts) == 2
+
+    def test_add_task_invalidates(self):
+        graph = TestBulkEdgeInsertion._nodes(2)
+        graph.topological_order()
+        graph.add_task(Task("t2", cost=clb_cost(10, ns(100))))
+        assert graph.topological_order() == self._fresh_order(graph)
+        assert "t2" in graph.topological_order()
+
+    def test_add_edge_invalidates(self):
+        graph = TestBulkEdgeInsertion._nodes(2)
+        assert graph.topological_order() == ["t0", "t1"]
+        graph.add_edge("t1", "t0")
+        assert graph.topological_order() == ["t1", "t0"]
+
+    def test_add_edges_invalidates(self):
+        graph = TestBulkEdgeInsertion._nodes(3)
+        assert graph.topological_order() == ["t0", "t1", "t2"]
+        graph.add_edges([("t2", "t1", 1), ("t1", "t0", 1)])
+        assert graph.topological_order() == ["t2", "t1", "t0"]
+
+    def test_rolled_back_cycle_edge_leaves_a_valid_order(self):
+        graph = TestBulkEdgeInsertion._nodes(3)
+        graph.add_edge("t1", "t0")
+        before = graph.topological_order()
+        with pytest.raises(CycleError):
+            graph.add_edge("t0", "t1")
+        assert graph.topological_order() == before == self._fresh_order(graph)
+        with pytest.raises(CycleError):
+            graph.add_edges([("t2", "t1", 1), ("t0", "t2", 1)])
+        assert graph.topological_order() == before == self._fresh_order(graph)
+
+    def test_rollback_drops_an_order_read_mid_insertion(self):
+        graph = TestBulkEdgeInsertion._nodes(3)
+
+        def edges():
+            yield ("t2", "t0", 1)
+            graph.topological_order()  # memoises the t2 -> t0 shape
+            yield ("t0", "zzz", 1)
+
+        with pytest.raises(UnknownTaskError):
+            graph.add_edges(edges())
+        assert graph.edge_count() == 0
+        assert graph.topological_order() == ["t0", "t1", "t2"]
+
+    def test_returned_list_is_a_copy(self):
+        graph = TestBulkEdgeInsertion._nodes(3)
+        graph.add_edge("t2", "t0")
+        order = graph.topological_order()
+        expected = list(order)
+        order.reverse()
+        order.append("zzz")
+        assert graph.topological_order() == expected
 
 
 class TestAnalysis:
